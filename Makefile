@@ -17,28 +17,26 @@
 #                      ref-vs-ovs regression
 #   make dist-demo     run a coordinator and two workers locally for a quick look
 #   make bench-matrix  campaign throughput metrics: cold + warm 2×2 campaign,
-#                      writes BENCH_matrix.json (cells/sec, cache-hit rate)
+#                      merged into BENCH_matrix.json (cells/sec, cache-hit
+#                      rate); the file's other objects are kept
 #   make bench-scenario cold scenario exploration baselines (paths/sec at
 #                      1/2/4/8 workers over two seed scenarios), merged into
 #                      BENCH_matrix.json's scenario_cold object
-#   make bench-incremental before/after paths/sec for the incremental solver
-#                      stack on a FlowMod-class scenario (per-path solvers vs
-#                      assumption-stack sessions), merged into
-#                      BENCH_matrix.json's incremental object with speedups
 #   make bench-dist    fleet scaling points: the FlowMod matrix on a real TCP
 #                      fleet at 1/2/4 worker processes (paths/sec, lease-RTT
 #                      p50/p99), merged into BENCH_matrix.json's dist_scaling
 #                      object
 #   make bench         the paper's evaluation benches + parallel scaling benches
-#   make bench-solver  solver-stack scaling benches (parallel explore, clause
-#                      sharing, sharded-cache crosscheck) — run on multicore
-#                      hardware for meaningful numbers
+#   make bench-solver  solver-stack scaling benches (parallel explore,
+#                      sessions vs the fresh-solver reference, sharded-cache
+#                      crosscheck) — run on multicore hardware for meaningful
+#                      numbers
 #   make bench-smoke   every scaling bench once (CI bit-rot guard, no timing value)
 #   make check         build + vet + test (what CI should run)
 
 GO ?= go
 
-.PHONY: build vet test race e2e-dist e2e-matrix e2e-serve e2e-scenario dist-demo bench bench-matrix bench-scenario bench-incremental bench-dist bench-solver bench-smoke check
+.PHONY: build vet test race e2e-dist e2e-matrix e2e-serve e2e-scenario dist-demo bench bench-matrix bench-scenario bench-dist bench-solver bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -67,12 +65,12 @@ e2e-scenario:
 # Campaign throughput trajectory: run the same small campaign cold (store
 # empty) then warm (all cells cached); both passes merge their metrics into
 # BENCH_matrix.json as its "cold" and "warm" objects (cells/sec over
-# explored cells, cache-hit rate). Timings are only meaningful on quiet
-# multicore hardware, but the JSON schema is what perf tracking keys on.
+# explored cells, cache-hit rate); every other object in the file is kept.
+# Timings are only meaningful on quiet multicore hardware, but the JSON
+# schema is what perf tracking keys on.
 bench-matrix:
 	$(GO) build -o /tmp/soft-bench-matrix-bin ./cmd/soft
-	@rm -f BENCH_matrix.json; \
-	store=$$(mktemp -d /tmp/soft-bench-matrix.XXXXXX); \
+	@store=$$(mktemp -d /tmp/soft-bench-matrix.XXXXXX); \
 	/tmp/soft-bench-matrix-bin matrix -agents ref,modified \
 		-tests "Packet Out,Stats Request" -store $$store \
 		-code-version bench -bench-json BENCH_matrix.json >/dev/null && \
@@ -93,23 +91,6 @@ bench-scenario:
 			/tmp/soft-bench-scenario-bin explore -scenario "$$sc" -workers $$w \
 				-bench-json BENCH_matrix.json -o /dev/null || exit 1; \
 		done; \
-	done
-	@cat BENCH_matrix.json
-
-# Incremental-solver before/after: the FlowMod test (the heaviest Table 2
-# workload the benches run) explored with per-path solvers
-# (-incremental=false, the old engine) and with assumption-stack sessions
-# (the default). Models are off so the metric is raw engine throughput.
-# Both halves merge into BENCH_matrix.json's "incremental" object keyed
-# "FlowMod/w<N>"; the speedup field appears once a key has both halves.
-# Run on quiet hardware.
-bench-incremental:
-	$(GO) build -o /tmp/soft-bench-incremental-bin ./cmd/soft
-	@for w in 1 4; do \
-		/tmp/soft-bench-incremental-bin explore -test FlowMod -models=false -workers $$w \
-			-incremental=false -bench-json BENCH_matrix.json -o /dev/null || exit 1; \
-		/tmp/soft-bench-incremental-bin explore -test FlowMod -models=false -workers $$w \
-			-bench-json BENCH_matrix.json -o /dev/null || exit 1; \
 	done
 	@cat BENCH_matrix.json
 
@@ -157,13 +138,11 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 bench-solver:
-	$(GO) test -run NONE -bench 'ExploreParallel|CrossCheck' -benchmem .
+	$(GO) test -run NONE -bench 'ExploreParallel|CrossCheck' -benchmem . ./internal/harness/
 
 bench-smoke:
-	$(GO) test -run NONE -bench 'ExploreParallel|CrossCheck' -benchtime=1x .
+	$(GO) test -run NONE -bench 'ExploreParallel|CrossCheck' -benchtime=1x . ./internal/harness/
 	$(GO) build -o /tmp/soft-bench-smoke-bin ./cmd/soft
-	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -incremental=false -o /dev/null
-	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -incremental -o /dev/null
-	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -merge -o /dev/null
+	@/tmp/soft-bench-smoke-bin explore -scenario "Add Modify" -o /dev/null
 
 check: build vet test

@@ -29,13 +29,10 @@ func runExplore(e *env, args []string) error {
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths (0 = default)")
 	models := fs.Bool("models", true, "extract a concrete input example per path")
 	workers := fs.Int("workers", 0, "parallel exploration workers (0 = GOMAXPROCS, 1 = sequential)")
-	clauseSharing := fs.Bool("clause-sharing", false, "share short learned clauses between path solvers (results are byte-identical either way)")
-	incremental := fs.Bool("incremental", true, "keep one assumption-stack solver session per worker instead of a fresh solver per path (results are byte-identical either way)")
-	merge := fs.Bool("merge", false, "enable diamond state merging on top of incremental solving (implies -incremental; results are byte-identical either way)")
 	canonicalCut := fs.Bool("canonical-cut", false, "make max-paths truncation canonical: keep the canonically smallest paths so truncated runs are reproducible across worker counts")
 	timeout := fs.Duration("timeout", 0, "wall-clock limit; on expiry the partial result is still written")
 	progress := fs.Bool("progress", false, "report exploration progress on stderr")
-	verbose := fs.Bool("v", false, "report solver statistics (queries, cache hits, clause exchange) on stderr")
+	verbose := fs.Bool("v", false, "report solver statistics (branch queries, session reuse) on stderr")
 	benchJSON := fs.String("bench-json", "", "merge this run's cold paths/sec and solver stats into a bench JSON file, keyed by the scenario or test name")
 	traceOut := fs.String("trace", "", "write a Chrome-trace-event JSON of this run's spans to this file (load in Perfetto; results are byte-identical either way)")
 	if err := parse(fs, args); err != nil {
@@ -82,9 +79,6 @@ func runExplore(e *env, args []string) error {
 		soft.WithMaxPaths(*maxPaths),
 		soft.WithModels(*models),
 		soft.WithWorkers(*workers),
-		soft.WithClauseSharing(*clauseSharing),
-		soft.WithIncrementalSolver(*incremental),
-		soft.WithStateMerging(*merge),
 		soft.WithCanonicalCut(*canonicalCut),
 	}
 	if *progress {
@@ -140,7 +134,7 @@ func runExplore(e *env, args []string) error {
 		if benchName == "" {
 			benchName = t.Name
 		}
-		if err := mergeScenarioBench(*benchJSON, benchName, *workers, *incremental || *merge, *merge, res, solveLat); err != nil {
+		if err := mergeScenarioBench(*benchJSON, benchName, *workers, res, solveLat); err != nil {
 			return err
 		}
 	}

@@ -65,9 +65,6 @@ func runMatrix(e *env, args []string) error {
 	workers := fs.Int("workers", 0, "in-process parallelism: exploration workers per cell (fleetless) and crosscheck solver workers (0 = GOMAXPROCS)")
 	maxPaths := fs.Int("max-paths", 0, "cap on explored paths per cell (0 = default); campaign truncation is canonical")
 	models := fs.Bool("models", true, "extract a concrete input example per path")
-	clauseSharing := fs.Bool("clause-sharing", false, "enable learned-clause sharing inside each cell's exploration")
-	incremental := fs.Bool("incremental", true, "explore cells on per-worker assumption-stack solver sessions (results are byte-identical either way)")
-	merge := fs.Bool("merge", false, "enable diamond state merging inside each cell's exploration (implies -incremental)")
 	storeDir := fs.String("store", "", "result-store directory: cache cell results and groupings, skip unchanged cells on re-runs")
 	codeVersion := fs.String("code-version", "", "override the cache key's code version (default: the binary's VCS build stamp)")
 	storeMigrate := fs.Bool("store-migrate", false, "re-stamp a store recorded under a different code version instead of refusing it")
@@ -154,9 +151,6 @@ func runMatrix(e *env, args []string) error {
 		soft.WithWorkers(*workers),
 		soft.WithMaxPaths(*maxPaths),
 		soft.WithModels(*models),
-		soft.WithClauseSharing(*clauseSharing),
-		soft.WithIncrementalSolver(*incremental),
-		soft.WithStateMerging(*merge),
 		soft.WithShardDepth(depth),
 		soft.WithAdaptiveShards(adaptive),
 		soft.WithLeaseTimeout(*leaseTimeout),
@@ -363,20 +357,15 @@ type benchMetrics struct {
 	SolverStats *benchSolverStats `json:"solver_stats,omitempty"`
 }
 
-// benchSolverStats is the solver-side view of one bench pass: how the
-// satisfiability decisions were made (assumption-stack session vs
-// from-scratch per-path solver), how much structure was reused (activation
-// cache, merge memo, hash-cons table), and the clause-exchange volume.
+// benchSolverStats is the solver-side view of one bench pass: how many
+// satisfiability decisions were made and how much structure was reused
+// (query cache, session activation cache, hash-cons table).
 type benchSolverStats struct {
 	Queries           int64 `json:"queries"`
 	CacheHits         int64 `json:"cache_hits"`
 	AssumptionSolves  int64 `json:"assumption_solves"`
-	FullSolves        int64 `json:"full_solves"`
 	ConstraintsReused int64 `json:"constraints_reused"`
-	MergeHits         int64 `json:"merge_hits"`
 	InternHits        int64 `json:"intern_hits"`
-	ClauseExports     int64 `json:"clause_exports"`
-	ClauseImports     int64 `json:"clause_imports"`
 	// SolveLatencyP50Ns/P99Ns summarize the run's SAT solve-latency
 	// histogram (power-of-two buckets: the quantile is an upper bound
 	// within 2× of the true value). Zero when the pass did no local
@@ -390,12 +379,8 @@ func toBenchSolverStats(st soft.SolverStats, lat obs.HistogramSnapshot) *benchSo
 		Queries:           st.Queries,
 		CacheHits:         st.CacheHits,
 		AssumptionSolves:  st.AssumptionSolves,
-		FullSolves:        st.FullSolves,
 		ConstraintsReused: st.ConstraintsReused,
-		MergeHits:         st.MergeHits,
 		InternHits:        st.InternHits,
-		ClauseExports:     st.ClauseExports,
-		ClauseImports:     st.ClauseImports,
 	}
 	if lat.Count() > 0 {
 		b.SolveLatencyP50Ns = lat.Quantile(0.5)
@@ -416,9 +401,7 @@ type benchFile struct {
 	// ScenarioCold holds cold engine baselines from
 	// `soft explore -scenario X -workers N -bench-json`, keyed
 	// "<scenario>/w<N>" — raw paths/sec with no store in the loop (the
-	// ROADMAP "honest performance trajectory" numbers). Only default-mode
-	// runs (incremental solving, no merging) land here; explicit baseline
-	// and merge runs go to the Incremental object instead. Additive to the
+	// ROADMAP "honest performance trajectory" numbers). Additive to the
 	// v2 schema: files without it parse unchanged.
 	ScenarioCold map[string]*scenarioBenchMetrics `json:"scenario_cold,omitempty"`
 	// ScenarioFamilies aggregates ScenarioCold per scenario across worker
@@ -426,11 +409,12 @@ type benchFile struct {
 	// Individual sub-millisecond runs are pure timer noise — the family
 	// aggregate is the number worth tracking for fast scenarios.
 	ScenarioFamilies map[string]*scenarioFamilyMetrics `json:"scenario_families,omitempty"`
-	// Incremental holds before/after pairs for the incremental solver
-	// stack, keyed "<scenario>/w<N>": the same scenario run with
-	// -incremental=false (baseline) and -incremental (or -merge), with the
-	// speedup computed once both halves are in.
-	Incremental map[string]*incrementalBenchMetrics `json:"incremental,omitempty"`
+	// Incremental is the recorded before/after evidence for the session
+	// engine (per-path solvers vs assumption-stack sessions, keyed
+	// "<scenario>/w<N>"). The per-path engine is no longer a runnable mode,
+	// so no code writes this object; it is carried through rewrites
+	// verbatim so the history survives.
+	Incremental json.RawMessage `json:"incremental,omitempty"`
 	// DistScaling holds fleet scaling points from
 	// `soft matrix -addr ... -bench-dist N -bench-json`, keyed "w<N>" by
 	// worker process count: campaign paths/sec plus the coordinator's
@@ -462,18 +446,6 @@ type scenarioFamilyMetrics struct {
 	Paths       int     `json:"paths"`
 	ElapsedSec  float64 `json:"elapsed_sec"`
 	PathsPerSec float64 `json:"paths_per_sec,omitempty"`
-}
-
-// incrementalBenchMetrics is one before/after cell of the incremental
-// bench: the same scenario and worker count run with the per-path solver
-// baseline and with the assumption-stack session stack.
-type incrementalBenchMetrics struct {
-	Workers                int     `json:"workers"`
-	Paths                  int     `json:"paths"`
-	BaselinePathsPerSec    float64 `json:"baseline_paths_per_sec,omitempty"`
-	IncrementalPathsPerSec float64 `json:"incremental_paths_per_sec,omitempty"`
-	// Speedup is incremental over baseline, present once both halves ran.
-	Speedup float64 `json:"speedup,omitempty"`
 }
 
 // distBenchMetrics is one fleet-width point of the distributed scaling
@@ -519,7 +491,18 @@ func mergeDistBench(path string, workers int, rep *soft.MatrixReport, elapsed ti
 		m.LeaseRTTP50Ns = leaseRTT.Quantile(0.5)
 		m.LeaseRTTP99Ns = leaseRTT.Quantile(0.99)
 	}
+	return updateBenchFile(path, func(f *benchFile) {
+		if f.DistScaling == nil {
+			f.DistScaling = map[string]*distBenchMetrics{}
+		}
+		f.DistScaling[fmt.Sprintf("w%d", workers)] = m
+	})
+}
 
+// updateBenchFile is the read-modify-write every bench writer shares: the
+// objects already on disk are kept (a file in another schema is
+// replaced), update changes its own object, and the file is rewritten.
+func updateBenchFile(path string, update func(*benchFile)) error {
 	var f benchFile
 	if existing, err := os.ReadFile(path); err == nil {
 		var parsed benchFile
@@ -528,10 +511,7 @@ func mergeDistBench(path string, workers int, rep *soft.MatrixReport, elapsed ti
 		}
 	}
 	f.Schema = benchSchema
-	if f.DistScaling == nil {
-		f.DistScaling = map[string]*distBenchMetrics{}
-	}
-	f.DistScaling[fmt.Sprintf("w%d", workers)] = m
+	update(&f)
 	data, err := json.MarshalIndent(&f, "", "  ")
 	if err != nil {
 		return err
@@ -543,12 +523,9 @@ func mergeDistBench(path string, workers int, rep *soft.MatrixReport, elapsed ti
 // anything faster is dominated by timer granularity and scheduler jitter.
 const benchMinElapsed = time.Millisecond
 
-// mergeScenarioBench merges one cold scenario run into the bench file
-// (same read-modify-write shape as writeBenchJSON, same schema).
-// Default-mode runs (incremental, no merge) refresh scenario_cold and the
-// family aggregates; every run also lands in its half of the incremental
-// before/after object.
-func mergeScenarioBench(path, scenarioName string, workers int, incremental, merge bool, res *soft.Result, solveLat obs.HistogramSnapshot) error {
+// mergeScenarioBench merges one cold scenario run into the bench file's
+// scenario_cold object and refreshes the family aggregates.
+func mergeScenarioBench(path, scenarioName string, workers int, res *soft.Result, solveLat obs.HistogramSnapshot) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -557,18 +534,8 @@ func mergeScenarioBench(path, scenarioName string, workers int, incremental, mer
 	if s := res.Elapsed.Seconds(); s > 0 && !tooFast {
 		pathsPerSec = float64(len(res.Paths)) / s
 	}
-
-	var f benchFile
-	if existing, err := os.ReadFile(path); err == nil {
-		var parsed benchFile
-		if json.Unmarshal(existing, &parsed) == nil && parsed.Schema == benchSchema {
-			f = parsed
-		}
-	}
-	f.Schema = benchSchema
 	key := fmt.Sprintf("%s/w%d", scenarioName, workers)
-
-	if incremental && !merge {
+	return updateBenchFile(path, func(f *benchFile) {
 		if f.ScenarioCold == nil {
 			f.ScenarioCold = map[string]*scenarioBenchMetrics{}
 		}
@@ -581,31 +548,7 @@ func mergeScenarioBench(path, scenarioName string, workers int, incremental, mer
 			SolverStats: toBenchSolverStats(res.SolverStats, solveLat),
 		}
 		f.ScenarioFamilies = aggregateFamilies(f.ScenarioCold)
-	}
-
-	if f.Incremental == nil {
-		f.Incremental = map[string]*incrementalBenchMetrics{}
-	}
-	inc := f.Incremental[key]
-	if inc == nil {
-		inc = &incrementalBenchMetrics{Workers: workers}
-		f.Incremental[key] = inc
-	}
-	inc.Paths = len(res.Paths)
-	if incremental {
-		inc.IncrementalPathsPerSec = pathsPerSec
-	} else {
-		inc.BaselinePathsPerSec = pathsPerSec
-	}
-	if inc.BaselinePathsPerSec > 0 && inc.IncrementalPathsPerSec > 0 {
-		inc.Speedup = inc.IncrementalPathsPerSec / inc.BaselinePathsPerSec
-	}
-
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	})
 }
 
 // aggregateFamilies recomputes the per-scenario totals from every recorded
@@ -682,26 +625,15 @@ func writeBenchJSON(path, pass string, rep *soft.MatrixReport, elapsed time.Dura
 	m.SolverStats = toBenchSolverStats(rep.SolverStats, solveLat)
 
 	// Merge with the passes already on disk so cold and warm runs build one
-	// file between them; a file in the old flat schema is replaced.
-	var f benchFile
-	if existing, err := os.ReadFile(path); err == nil {
-		var parsed benchFile
-		if json.Unmarshal(existing, &parsed) == nil && parsed.Schema == benchSchema {
-			f = parsed
+	// file between them.
+	return updateBenchFile(path, func(f *benchFile) {
+		switch classifyBenchPass(pass, rep) {
+		case "cold":
+			f.Cold = m
+		case "warm":
+			f.Warm = m
+		default:
+			f.Mixed = m
 		}
-	}
-	f.Schema = benchSchema
-	switch classifyBenchPass(pass, rep) {
-	case "cold":
-		f.Cold = m
-	case "warm":
-		f.Warm = m
-	default:
-		f.Mixed = m
-	}
-	data, err := json.MarshalIndent(&f, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	})
 }

@@ -34,9 +34,9 @@ type DistResult = harness.MergedResult
 // meaning, so no result is returned.
 //
 // Serve blocks until the run completes. Options: WithMaxPaths,
-// WithMaxDepth, WithModels, WithClauseSharing (forwarded to workers),
-// WithShardDepth, WithAdaptiveShards (progress-driven shard balancing),
-// WithLeaseTimeout, WithCanonicalCut, WithProgress, WithLog.
+// WithMaxDepth, WithModels (forwarded to workers), WithShardDepth,
+// WithAdaptiveShards (progress-driven shard balancing), WithLeaseTimeout,
+// WithCanonicalCut, WithProgress, WithLog.
 //
 // Serve runs exactly one (agent, test) job and then shuts its fleet down;
 // campaigns that drain a whole matrix over one persistent fleet use
@@ -61,9 +61,6 @@ func ServeListener(ctx context.Context, ln net.Listener, agent, test string, opt
 		MaxPaths:       cfg.maxPaths,
 		MaxDepth:       cfg.maxDepth,
 		WantModels:     cfg.models,
-		ClauseSharing:  cfg.clauseSharing,
-		Incremental:    cfg.incremental,
-		Merge:          cfg.merge,
 		NoCanonicalCut: !cfg.canonicalCutOr(true),
 		ShardDepth:     cfg.shardDepth,
 		AdaptiveShards: cfg.adaptiveShards,

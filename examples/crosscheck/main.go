@@ -25,8 +25,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// One shared solver: its query cache carries over between explorations
-	// and the crosschecks.
+	// One shared solver: its query cache carries over between the
+	// crosschecks.
 	s := soft.NewSolver()
 	tests := []string{"Packet Out", "Stats Request", "Set Config", "Short Symb"}
 
@@ -36,11 +36,11 @@ func main() {
 	for _, name := range tests {
 		t, _ := soft.TestByName(name)
 		fmt.Printf("exploring %-14s ", name)
-		ra, err := soft.Explore(ctx, ref, t, soft.WithSolver(s), soft.WithModels(true))
+		ra, err := soft.Explore(ctx, ref, t, soft.WithModels(true))
 		if err != nil {
 			log.Fatal(err)
 		}
-		rb, err := soft.Explore(ctx, ov, t, soft.WithSolver(s), soft.WithModels(true))
+		rb, err := soft.Explore(ctx, ov, t, soft.WithModels(true))
 		if err != nil {
 			log.Fatal(err)
 		}

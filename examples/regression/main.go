@@ -42,11 +42,11 @@ func main() {
 	t, _ := soft.TestByName("Packet Out")
 	s := soft.NewSolver()
 	fmt.Println("regression-testing Packet Out across two versions of the Reference Switch...")
-	rOld, err := soft.Explore(ctx, oldVersion, t, soft.WithSolver(s), soft.WithModels(true))
+	rOld, err := soft.Explore(ctx, oldVersion, t, soft.WithModels(true))
 	if err != nil {
 		log.Fatal(err)
 	}
-	rNew, err := soft.Explore(ctx, newVersion, t, soft.WithSolver(s), soft.WithModels(true))
+	rNew, err := soft.Explore(ctx, newVersion, t, soft.WithModels(true))
 	if err != nil {
 		log.Fatal(err)
 	}

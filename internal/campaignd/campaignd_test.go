@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -49,12 +50,11 @@ func newTestServer(t *testing.T, dir string) *Server {
 func referenceBytes(t *testing.T, spec JobSpec) []byte {
 	t.Helper()
 	rep, err := sched.RunMatrix(context.Background(), spec.Agents, spec.Tests, sched.Options{
-		MaxPaths:      spec.MaxPaths,
-		MaxDepth:      spec.MaxDepth,
-		Models:        spec.Models,
-		ClauseSharing: spec.ClauseSharing,
-		CrossCheck:    spec.CrossCheck,
-		Workers:       4,
+		MaxPaths:   spec.MaxPaths,
+		MaxDepth:   spec.MaxDepth,
+		Models:     spec.Models,
+		CrossCheck: spec.CrossCheck,
+		Workers:    4,
 	})
 	if err != nil {
 		t.Fatalf("reference RunMatrix: %v", err)
@@ -198,6 +198,63 @@ func TestJournalReplayResumesRunningJobs(t *testing.T) {
 	}
 }
 
+// TestJournalReplayIgnoresRemovedClauseSharing replays a journal record
+// written by an older binary, whose job spec still carried the removed
+// "clause_sharing" engine option (set to true). The journal decodes with
+// plain json.Unmarshal, so the stale field is ignored: the job resumes and
+// its report is byte-identical to a run of the same spec today.
+func TestJournalReplayIgnoresRemovedClauseSharing(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jr, err := openJournal(st.Dir() + "/campaignd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{
+		Agents:      []string{"ref", "modified"},
+		Tests:       []string{"Packet Out"},
+		Models:      true,
+		CrossCheck:  true,
+		CodeVersion: "test-v1",
+		Tenant:      "default",
+	}
+	old := &Job{ID: jobID(3), Seq: 3, Spec: spec, State: StateRunning, StartSeq: 1, SubmittedUnix: 1}
+	data, err := json.Marshal(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(data, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["spec"].(map[string]any)["clause_sharing"] = true
+	if data, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := jr.writeAtomic(jr.jobPath(old.ID), data); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{Store: st, CodeVersion: "test-v1", Workers: 4})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer func() { cancel(); s.Close() }()
+	s.Start(ctx)
+	waitState(t, s, old.ID, StateDone)
+	got, ok, err := s.Report(old.ID)
+	if err != nil || !ok {
+		t.Fatalf("Report: ok=%t err=%v", ok, err)
+	}
+	if want := referenceBytes(t, spec); !bytes.Equal(got, want) {
+		t.Fatalf("replayed report of a clause_sharing record differs from a fresh run")
+	}
+}
+
 // TestFairShareAcrossTenants submits a backlog for tenant a and a single
 // job for tenant b, then checks the observable dispatch order: b's job
 // must run second, not last.
@@ -277,6 +334,19 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("tenant = %q, want default", j.Spec.Tenant)
 	}
 
+	// The submission decoder rejects unknown fields, so the removed
+	// clause_sharing option is a 400 that names it, not a silent no-op.
+	resp, err := http.Post(ts.URL+apiPrefix+"/jobs", "application/json",
+		strings.NewReader(`{"agents":["ref"],"tests":["Packet Out"],"clause_sharing":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "clause_sharing") {
+		t.Fatalf("submit with clause_sharing: HTTP %d %q, want a 400 naming the field", resp.StatusCode, body)
+	}
+
 	if _, err := cl.Job(ctx, "j999999"); err == nil || !strings.Contains(err.Error(), "404") {
 		t.Fatalf("Job(unknown) = %v, want a 404", err)
 	}
@@ -287,7 +357,7 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := cl.Report(ctx, j.ID); err == nil || !strings.Contains(err.Error(), "409") {
 		t.Fatalf("Report(queued) = %v, want a 409", err)
 	}
-	resp, err := http.Get(ts.URL + apiPrefix + "/jobs/" + j.ID + "/nope")
+	resp, err = http.Get(ts.URL + apiPrefix + "/jobs/" + j.ID + "/nope")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -272,47 +272,56 @@ func TestCompleteRemovesExpiredShardFromQueue(t *testing.T) {
 // TestWorkerVersionReject covers both halves of the version-mismatch
 // handshake: the coordinator rejects a wrong-version hello with a reject
 // frame, and Work surfaces a coordinator's reject as ErrVersionMismatch.
+// Version 5 is the last layout whose job frame carried the solver-mode
+// booleans v6 removed; such peers must be turned away at the handshake.
 func TestWorkerVersionReject(t *testing.T) {
-	// Half 1: fleet rejects an old worker with a reject frame.
+	// Half 1: fleet rejects old and unknown workers with a reject frame.
 	f, addr := newTestFleet(t, FleetConfig{})
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	wrong := []uint64{5, protocolVersion + 7}
+	for _, v := range wrong {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		defer conn.Close()
+		if err := writeFrame(conn, msgHello, encodeHello(hello{version: v, name: "old"})); err != nil {
+			t.Fatalf("hello: %v", err)
+		}
+		mt, payload, err := readFrame(conn)
+		if err != nil || mt != msgReject {
+			t.Fatalf("v%d: want reject frame, got type %d err %v", v, mt, err)
+		}
+		r, err := decodeReject(payload)
+		if err != nil || r.want != protocolVersion {
+			t.Fatalf("v%d: reject payload %+v err %v, want version %d", v, r, err, protocolVersion)
+		}
 	}
-	defer conn.Close()
-	if err := writeFrame(conn, msgHello, encodeHello(hello{version: protocolVersion + 7, name: "old"})); err != nil {
-		t.Fatalf("hello: %v", err)
-	}
-	mt, payload, err := readFrame(conn)
-	if err != nil || mt != msgReject {
-		t.Fatalf("want reject frame, got type %d err %v", mt, err)
-	}
-	r, err := decodeReject(payload)
-	if err != nil || r.want != protocolVersion {
-		t.Fatalf("reject payload %+v err %v, want version %d", r, err, protocolVersion)
-	}
-	if st := f.Stats(); st.WorkersRejected != 1 {
-		t.Errorf("WorkersRejected = %d, want 1", st.WorkersRejected)
+	if st := f.Stats(); st.WorkersRejected != len(wrong) {
+		t.Errorf("WorkersRejected = %d, want %d", st.WorkersRejected, len(wrong))
 	}
 
-	// Half 2: a worker dialing a newer coordinator reports the mismatch.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
-	go func() {
-		c, err := ln.Accept()
+	// Half 2: a worker dialing an older or newer coordinator reports the
+	// mismatch.
+	for _, v := range []uint64{5, 99} {
+		v := v
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return
+			t.Fatalf("listen: %v", err)
 		}
-		defer c.Close()
-		readFrame(c) // the hello
-		writeFrame(c, msgReject, encodeReject(reject{want: 99}))
-	}()
-	err = Work(context.Background(), ln.Addr().String(), WorkerConfig{Name: "w"})
-	if !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("Work error = %v, want ErrVersionMismatch", err)
+		defer ln.Close()
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close()
+			readFrame(c) // the hello
+			writeFrame(c, msgReject, encodeReject(reject{want: v}))
+		}()
+		err = Work(context.Background(), ln.Addr().String(), WorkerConfig{Name: "w"})
+		if !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("coordinator v%d: Work error = %v, want ErrVersionMismatch", v, err)
+		}
 	}
 }
 

@@ -97,13 +97,13 @@ func FuzzLeaseRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzHelloJobRoundTrip covers the handshake and job-announcement payloads
-// (plus the reject frame's version field).
+// FuzzHelloJobRoundTrip covers the handshake and the v6 job-announcement
+// payload (plus the reject frame's version field).
 func FuzzHelloJobRoundTrip(f *testing.F) {
-	f.Add(uint64(1), "worker/1", uint64(0), "ref", "Packet Out", int64(100), int64(64), true, false, true, false, uint64(0))
-	f.Add(uint64(0), "", uint64(7), "", "", int64(0), int64(0), false, false, false, true, uint64(0xdead))
-	f.Add(^uint64(0), "ünïcödé\nworker", ^uint64(0), "agent \"q\"", "test\ttab", int64(-5), int64(1<<40), true, true, true, true, ^uint64(0))
-	f.Fuzz(func(t *testing.T, version uint64, name string, jobID uint64, agent, test string, maxPaths, maxDepth int64, models, sharing, cut, traced bool, traceID uint64) {
+	f.Add(uint64(6), "worker/1", uint64(0), "ref", "Packet Out", int64(100), int64(64), true, true, false, uint64(0))
+	f.Add(uint64(0), "", uint64(7), "", "", int64(0), int64(0), false, false, true, uint64(0xdead))
+	f.Add(^uint64(0), "ünïcödé\nworker", ^uint64(0), "agent \"q\"", "test\ttab", int64(-5), int64(1<<40), true, true, true, ^uint64(0))
+	f.Fuzz(func(t *testing.T, version uint64, name string, jobID uint64, agent, test string, maxPaths, maxDepth int64, models, cut, traced bool, traceID uint64) {
 		h, err := decodeHello(encodeHello(hello{version: version, name: name}))
 		if err != nil {
 			t.Fatalf("decodeHello of own output: %v", err)
@@ -114,7 +114,7 @@ func FuzzHelloJobRoundTrip(f *testing.F) {
 		j := jobMsg{
 			id: jobID, agent: agent, test: test,
 			maxPaths: int(maxPaths), maxDepth: int(maxDepth),
-			models: models, clauseSharing: sharing, canonicalCut: cut,
+			models: models, canonicalCut: cut,
 			traced: traced, traceID: traceID,
 		}
 		gj, err := decodeJob(encodeJob(j))
@@ -184,8 +184,10 @@ func buildShard(covMap *coverage.Map, out1, out2 string, crashed bool, bound, mo
 			ClausesTotal:  stats / 6,
 			AuxVarsTotal:  stats / 7,
 			FastPathConst: stats / 8,
-			ClauseExports: stats / 9,
-			ClauseImports: stats / 10,
+
+			AssumptionSolves:  stats / 9,
+			ConstraintsReused: stats / 10,
+			InternHits:        stats / 11,
 		},
 	}
 	sh.Paths = append(sh.Paths,
@@ -382,6 +384,7 @@ func FuzzDecodeHelloLease(f *testing.F) {
 	f.Add(encodeHello(hello{version: 1, name: "w"}))
 	f.Add(encodeLease(lease{job: 1, id: 9, traced: true, traceID: 0xbeef, parentSpan: 4, prefixes: [][]bool{{true, false, true}, {false}}}))
 	f.Add(encodeJob(jobMsg{id: 3, agent: "ref", test: "Packet Out", traced: true, traceID: 0xfeed}))
+	f.Add(encodeJobV5(3, "ref", "Packet Out", 0xfeed))
 	f.Add(encodeTrace(traceMsg{job: 3, lease: 9, seg: obs.Segment{
 		Process: "worker/w1", BaseUnixMicro: 42, Parent: 7,
 		Events: []obs.SegmentEvent{{Name: "shard", TS: 1, Dur: 2, TID: 3, ID: 4, Parent: 7}},
@@ -394,6 +397,34 @@ func FuzzDecodeHelloLease(f *testing.F) {
 		decodeReject(data)
 		decodeTrace(data)
 	})
+}
+
+// encodeJobV5 renders a job frame in the version 5 layout, which carried
+// three solver-mode booleans (clause sharing, incremental, merge) between
+// the models and canonical-cut flags.
+func encodeJobV5(id uint64, agent, test string, traceID uint64) []byte {
+	var e enc
+	e.u64(id)
+	e.str(agent)
+	e.str(test)
+	e.i64(100)
+	e.i64(64)
+	for _, b := range []bool{true, false, true, false, true, true} {
+		e.boolean(b) // models, clause sharing, incremental, merge, canonical cut, traced
+	}
+	e.u64(traceID)
+	return e.b
+}
+
+// TestJobV5PayloadRejected: a version 5 job payload never decodes as a v6
+// one. The handshake already turns v5 peers away; this pins that a stray
+// old frame is an error, not a silently misread job.
+func TestJobV5PayloadRejected(t *testing.T) {
+	for _, traceID := range []uint64{0, 1, 0xfeed, ^uint64(0)} {
+		if j, err := decodeJob(encodeJobV5(3, "ref", "Packet Out", traceID)); err == nil {
+			t.Fatalf("v5 job payload (trace %#x) decoded as v6: %+v", traceID, j)
+		}
+	}
 }
 
 // TestFrameTooLarge pins the frame cap on both ends.

@@ -171,16 +171,13 @@ func Work(ctx context.Context, addr string, cfg WorkerConfig) error {
 				base := total
 				sp := obs.StartSpan("shard:" + fmtPrefix(prefix))
 				res := harness.ExploreContext(ctx, job.agent, job.test, harness.Options{
-					MaxPaths:      job.cfg.maxPaths,
-					MaxDepth:      job.cfg.maxDepth,
-					WantModels:    job.cfg.models,
-					ClauseSharing: job.cfg.clauseSharing,
-					Incremental:   job.cfg.incremental,
-					Merge:         job.cfg.merge,
-					CanonicalCut:  job.cfg.canonicalCut,
-					Workers:       cfg.Workers,
-					Prefix:        prefix,
-					Progress:      func(n int) { progress(base + n) },
+					MaxPaths:     job.cfg.maxPaths,
+					MaxDepth:     job.cfg.maxDepth,
+					WantModels:   job.cfg.models,
+					CanonicalCut: job.cfg.canonicalCut,
+					Workers:      cfg.Workers,
+					Prefix:       prefix,
+					Progress:     func(n int) { progress(base + n) },
 				})
 				if res.Cancelled || ctx.Err() != nil {
 					// Never ship a partial subtree; the coordinator re-leases.

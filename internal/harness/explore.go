@@ -25,30 +25,22 @@ type Options struct {
 	Strategy symexec.Strategy
 	// WantModels extracts a concrete input example per path.
 	WantModels bool
-	// Solver reuses an existing solver (and its cache) across runs.
-	Solver *solver.Solver
 	// Workers is the number of parallel exploration workers (0 =
 	// GOMAXPROCS, 1 = sequential). Exhaustive explorations produce
 	// identical results for every worker count.
 	Workers int
-	// ClauseSharing enables the bounded learned-clause exchange between the
-	// per-path SAT cores (see symexec.Engine.ClauseSharing). Exhaustive
-	// results are byte-identical with sharing on or off.
-	ClauseSharing bool
 	// CanonicalCut makes MaxPaths truncation canonical: the run keeps the
 	// MaxPaths canonically smallest paths instead of the first MaxPaths to
 	// complete, so truncated results serialize to the same bytes for every
 	// worker count and shard layout (see symexec.Engine.CanonicalCut).
 	// Distributed exploration always runs with it on.
 	CanonicalCut bool
-	// Incremental runs each exploration worker on a persistent
-	// assumption-stack solver session instead of a fresh solver per path
-	// (see symexec.Engine.Incremental). Results are byte-identical either
-	// way; the public soft API and CLI enable it by default.
-	Incremental bool
-	// Merge enables diamond state merging on top of Incremental (see
-	// symexec.Engine.Merge). Answer-preserving and off by default.
-	Merge bool
+	// FreshSolverPerPath selects the reference engine (a fresh solver per
+	// path instead of per-worker sessions; see
+	// symexec.Engine.FreshSolverPerPath). Results are byte-identical either
+	// way; it exists only for the determinism tests, and no production
+	// caller sets it.
+	FreshSolverPerPath bool
 	// Prefix seeds exploration at the subtree below the given decision
 	// prefix (a distributed shard; see symexec.Engine.Prefix).
 	Prefix []bool
@@ -162,29 +154,21 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 	if o.MaxDepth == 0 {
 		o.MaxDepth = DefaultMaxDepth
 	}
-	s := o.Solver
-	if s == nil {
-		s = solver.New()
-	}
-	statsBefore := s.Stats()
 	internHitsBefore, _ := sym.InternStats()
 
 	eng := &symexec.Engine{
-		Solver:        s,
-		Strategy:      o.Strategy,
-		MaxPaths:      o.MaxPaths,
-		MaxDepth:      o.MaxDepth,
-		WantModels:    o.WantModels,
-		CovMap:        a.CovMap(),
-		Workers:       o.Workers,
-		ClauseSharing: o.ClauseSharing,
-		CanonicalCut:  o.CanonicalCut,
-		Incremental:   o.Incremental,
-		Merge:         o.Merge,
-		Prefix:        o.Prefix,
-		ShardDepth:    o.ShardDepth,
-		ShardSink:     o.ShardSink,
-		Progress:      o.Progress,
+		Strategy:           o.Strategy,
+		MaxPaths:           o.MaxPaths,
+		MaxDepth:           o.MaxDepth,
+		WantModels:         o.WantModels,
+		CovMap:             a.CovMap(),
+		Workers:            o.Workers,
+		CanonicalCut:       o.CanonicalCut,
+		FreshSolverPerPath: o.FreshSolverPerPath,
+		Prefix:             o.Prefix,
+		ShardDepth:         o.ShardDepth,
+		ShardSink:          o.ShardSink,
+		Progress:           o.Progress,
 	}
 	res := eng.RunContext(ctx, func(ctx *symexec.Context) {
 		in := a.NewInstance()
@@ -214,15 +198,12 @@ func ExploreContext(ctx context.Context, a agents.Agent, t Test, o Options) *Res
 		out.BranchPct = res.Cov.BranchPct()
 		out.Cov = res.Cov
 	}
-	out.SolverStats = s.Stats().Sub(statsBefore)
-	out.SolverStats.ClauseExports = res.ClauseExports
-	out.SolverStats.ClauseImports = res.ClauseImports
-	out.SolverStats.AssumptionSolves = res.AssumptionSolves
-	out.SolverStats.FullSolves = res.FullSolves
-	out.SolverStats.ConstraintsReused = res.ConstraintsReused
-	out.SolverStats.MergeHits = res.MergeHits
 	internHitsAfter, _ := sym.InternStats()
-	out.SolverStats.InternHits = int64(internHitsAfter - internHitsBefore)
+	out.SolverStats = solver.Stats{
+		AssumptionSolves:  res.AssumptionSolves,
+		ConstraintsReused: res.ConstraintsReused,
+		InternHits:        int64(internHitsAfter - internHitsBefore),
+	}
 	for _, p := range res.Paths {
 		cond := p.Condition()
 		out.Paths = append(out.Paths, PathResult{

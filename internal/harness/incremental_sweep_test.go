@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,58 +13,32 @@ import (
 	"github.com/soft-testing/soft/internal/harness"
 )
 
-// The harness-level acceptance sweep for the incremental solver stack:
-// whatever combination of assumption-stack sessions, diamond merging,
-// clause sharing, and worker count explores an (agent, test) cell, the
-// serialized results file — the artifact vendors exchange — must be
-// byte-for-byte the file a plain sequential run writes, and the crosscheck
-// verdicts derived from it must match exactly.
+// The harness-level acceptance sweep for the session engine: whether an
+// (agent, test) cell is explored on per-worker assumption-stack sessions
+// or on the fresh-solver-per-path reference engine, at any worker count,
+// the serialized results file — the artifact vendors exchange — must be
+// byte-for-byte the file the sequential reference run writes, and the
+// crosscheck verdicts derived from it must match exactly.
 
 // solverMode is one cell of the sweep grid.
 type solverMode struct {
-	name               string
-	incremental, merge bool
-	clauseSharing      bool
-	workers            int
+	name    string
+	fresh   bool
+	workers int
 }
 
 func sweepModes() []solverMode {
 	var modes []solverMode
 	for _, workers := range []int{1, 4} {
-		for _, inc := range []bool{false, true} {
-			for _, sharing := range []bool{false, true} {
-				modes = append(modes, solverMode{
-					name:          modeName(inc, false, sharing, workers),
-					incremental:   inc,
-					clauseSharing: sharing,
-					workers:       workers,
-				})
+		for _, fresh := range []bool{false, true} {
+			name := fmt.Sprintf("w%d+sessions", workers)
+			if fresh {
+				name = fmt.Sprintf("w%d+fresh", workers)
 			}
+			modes = append(modes, solverMode{name: name, fresh: fresh, workers: workers})
 		}
-		// Merge implies incremental; one merge cell per worker count keeps
-		// the grid honest without doubling it.
-		modes = append(modes, solverMode{
-			name: modeName(true, true, false, workers), incremental: true,
-			merge: true, workers: workers,
-		})
 	}
 	return modes
-}
-
-func modeName(inc, merge, sharing bool, workers int) string {
-	var sb strings.Builder
-	sb.WriteString("w")
-	sb.WriteByte(byte('0' + workers))
-	if inc {
-		sb.WriteString("+inc")
-	}
-	if merge {
-		sb.WriteString("+merge")
-	}
-	if sharing {
-		sb.WriteString("+share")
-	}
-	return sb.String()
 }
 
 // serializeResult renders a result to the results-file bytes with the
@@ -84,15 +59,13 @@ func TestExploreByteIdentityAcrossSolverModes(t *testing.T) {
 		t.Fatal("Stats Request test missing")
 	}
 	want := serializeResult(t, harness.Explore(refswitch.New(), tt, harness.Options{
-		WantModels: true, Workers: 1,
+		WantModels: true, Workers: 1, FreshSolverPerPath: true,
 	}))
 	for _, mode := range sweepModes() {
 		got := serializeResult(t, harness.Explore(refswitch.New(), tt, harness.Options{
-			WantModels:    true,
-			Workers:       mode.workers,
-			Incremental:   mode.incremental,
-			Merge:         mode.merge,
-			ClauseSharing: mode.clauseSharing,
+			WantModels:         true,
+			Workers:            mode.workers,
+			FreshSolverPerPath: mode.fresh,
 		}))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("mode %s: serialized result diverged from the sequential baseline", mode.name)
@@ -116,21 +89,50 @@ func TestCrossCheckByteIdentityAcrossSolverModes(t *testing.T) {
 	if !ok {
 		t.Fatal("Stats Request test missing")
 	}
-	run := func(incremental, merge bool) string {
-		opts := harness.Options{
-			WantModels: true, Workers: 1,
-			Incremental: incremental, Merge: merge,
-		}
+	run := func(fresh bool) string {
+		opts := harness.Options{WantModels: true, Workers: 1, FreshSolverPerPath: fresh}
 		ra := harness.Explore(refswitch.New(), tt, opts)
 		rb := harness.Explore(ovs.New(), tt, opts)
 		rep := crosscheck.Run(group.Paths(ra.Serialized()), group.Paths(rb.Serialized()), nil, 0)
 		return renderReport(rep)
 	}
-	want := run(false, false)
-	if got := run(true, false); got != want {
-		t.Fatalf("crosscheck verdicts diverged under incremental exploration:\n--- want\n%s--- got\n%s", want, got)
+	want := run(true)
+	if got := run(false); got != want {
+		t.Fatalf("crosscheck verdicts diverged under session exploration:\n--- want\n%s--- got\n%s", want, got)
 	}
-	if got := run(true, true); got != want {
-		t.Fatalf("crosscheck verdicts diverged under merge exploration:\n--- want\n%s--- got\n%s", want, got)
+}
+
+// BenchmarkExploreParallelIncremental is the session engine's before/after
+// on the heaviest explore workload: the fresh-solver-per-path reference
+// (mode-baseline) against one assumption-stack session per worker
+// (mode-incremental, what ships). Results are byte-identical across both;
+// paths/sec is the number to compare.
+func BenchmarkExploreParallelIncremental(b *testing.B) {
+	tt, ok := harness.TestByName("FlowMod")
+	if !ok {
+		b.Fatal("unknown test FlowMod")
+	}
+	for _, w := range []int{1, 4} {
+		for _, fresh := range []bool{true, false} {
+			name := fmt.Sprintf("workers-%d/mode-incremental", w)
+			if fresh {
+				name = fmt.Sprintf("workers-%d/mode-baseline", w)
+			}
+			w, fresh := w, fresh
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				var paths int
+				for i := 0; i < b.N; i++ {
+					r := harness.Explore(refswitch.New(), tt, harness.Options{
+						MaxPaths: 2000, Workers: w, FreshSolverPerPath: fresh,
+					})
+					paths = len(r.Paths)
+				}
+				b.ReportMetric(float64(paths), "paths")
+				if sec := b.Elapsed().Seconds(); sec > 0 {
+					b.ReportMetric(float64(paths)*float64(b.N)/sec, "paths/sec")
+				}
+			})
+		}
 	}
 }

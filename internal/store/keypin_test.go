@@ -14,11 +14,10 @@ func TestKeyStringPinned(t *testing.T) {
 		Test:        "Packet Out",
 		CodeVersion: "v-test",
 		Config: Config{
-			MaxPaths:      100,
-			MaxDepth:      32,
-			Models:        true,
-			ClauseSharing: false,
-			CanonicalCut:  true,
+			MaxPaths:     100,
+			MaxDepth:     32,
+			Models:       true,
+			CanonicalCut: true,
 		},
 	}
 	want := `agent="ref" test="Packet Out" code="v-test" maxpaths=100 maxdepth=32 models=true clausesharing=false canonicalcut=true`

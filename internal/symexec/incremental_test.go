@@ -6,32 +6,22 @@ import (
 	"github.com/soft-testing/soft/internal/sym"
 )
 
-// TestIncrementalDeterminism is the acceptance property for the incremental
-// solver stack: exhaustive exploration must produce byte-identical results
-// across incremental on/off × state merging on/off × clause sharing on/off
-// × workers 1/4. Assumption-stack sessions, guarded constraint reuse, and
-// merge-memo verdicts may only change how fast the tree burns down — never
-// an answer, a model, or a counter the result serializes.
+// TestIncrementalDeterminism is the acceptance property for the session
+// engine: exhaustive exploration must produce byte-identical results on
+// per-worker assumption-stack sessions and on the fresh-solver-per-path
+// reference engine, at workers 1 and 4. Sessions and guarded constraint
+// reuse may only change how fast the tree burns down — never an answer, a
+// model, or a counter the result serializes.
 func TestIncrementalDeterminism(t *testing.T) {
 	for name, h := range parallelHandlers() {
 		t.Run(name, func(t *testing.T) {
-			want := fingerprint((&Engine{Workers: 1, WantModels: true}).Run(h))
+			want := fingerprint((&Engine{Workers: 1, WantModels: true, FreshSolverPerPath: true}).Run(h))
 			for _, workers := range []int{1, 4} {
-				for _, incremental := range []bool{false, true} {
-					for _, merge := range []bool{false, true} {
-						for _, sharing := range []bool{false, true} {
-							e := &Engine{
-								Workers:       workers,
-								WantModels:    true,
-								Incremental:   incremental,
-								Merge:         merge,
-								ClauseSharing: sharing,
-							}
-							if got := fingerprint(e.Run(h)); got != want {
-								t.Fatalf("workers=%d incremental=%t merge=%t sharing=%t diverged:\n--- want\n%s--- got\n%s",
-									workers, incremental, merge, sharing, want, got)
-							}
-						}
+				for _, fresh := range []bool{false, true} {
+					e := &Engine{Workers: workers, WantModels: true, FreshSolverPerPath: fresh}
+					if got := fingerprint(e.Run(h)); got != want {
+						t.Fatalf("workers=%d fresh=%t diverged:\n--- want\n%s--- got\n%s",
+							workers, fresh, want, got)
 					}
 				}
 			}
@@ -39,10 +29,10 @@ func TestIncrementalDeterminism(t *testing.T) {
 	}
 }
 
-// TestIncrementalSessionReuse checks the incremental mode actually reuses
+// TestIncrementalSessionReuse checks the session engine actually reuses
 // work: on a workload whose sibling paths share long constraint prefixes,
 // the session must serve far more conjuncts from its activation cache than
-// it encodes fresh, and every solve must be an assumption solve.
+// it encodes fresh.
 func TestIncrementalSessionReuse(t *testing.T) {
 	h := func(ctx *Context) {
 		x := ctx.NewSym("x", 16)
@@ -54,55 +44,19 @@ func TestIncrementalSessionReuse(t *testing.T) {
 		}
 		ctx.Emit(n)
 	}
-	res := (&Engine{Workers: 1, WantModels: true, Incremental: true}).Run(h)
-	if res.FullSolves != 0 {
-		t.Fatalf("incremental run paid %d full solves", res.FullSolves)
-	}
+	res := (&Engine{Workers: 1, WantModels: true}).Run(h)
 	if res.AssumptionSolves == 0 {
-		t.Fatal("incremental run reported no assumption solves")
+		t.Fatal("session run reported no assumption solves")
 	}
 	if res.ConstraintsReused <= res.AssumptionSolves/4 {
 		t.Fatalf("expected heavy constraint reuse on shared prefixes, got %d reused over %d solves",
 			res.ConstraintsReused, res.AssumptionSolves)
 	}
 
-	// Non-incremental runs must report the mirror image.
-	res = (&Engine{Workers: 1, WantModels: true}).Run(h)
+	// The reference engine has no session to count.
+	res = (&Engine{Workers: 1, WantModels: true, FreshSolverPerPath: true}).Run(h)
 	if res.AssumptionSolves != 0 || res.ConstraintsReused != 0 {
-		t.Fatalf("non-incremental run reported session counters: %d/%d",
+		t.Fatalf("fresh-solver run reported session counters: %d/%d",
 			res.AssumptionSolves, res.ConstraintsReused)
-	}
-	if res.FullSolves == 0 {
-		t.Fatal("non-incremental run reported no full solves")
-	}
-}
-
-// TestMergeMemoHits checks diamond state merging fires on a diamond-shaped
-// workload: sibling paths that disagree only on an outcome-irrelevant
-// decision issue identical relaxed queries, so the second sibling's
-// infeasible arm must be answered from the memo.
-func TestMergeMemoHits(t *testing.T) {
-	h := func(ctx *Context) {
-		x := ctx.NewSym("x", 8)
-		lt10 := ctx.Branch(sym.Ult(x, sym.Const(8, 10)))
-		// The diamond pivot: the newest decision before the next frontier,
-		// irrelevant to that frontier's feasibility. Dropping it makes the
-		// two siblings' relaxed queries identical.
-		ctx.Branch(sym.EqConst(sym.Extract(x, 0, 0), 1))
-		if lt10 {
-			// The false arm is infeasible from x<10 alone: the first sibling
-			// proves the relaxed query (x<10 ∧ x≥20) unsatisfiable and the
-			// second sibling's arm dies on the memo.
-			ctx.Branch(sym.Ult(x, sym.Const(8, 20)))
-		}
-		ctx.Emit("done")
-	}
-	res := (&Engine{Workers: 1, Merge: true, WantModels: true}).Run(h)
-	if res.MergeHits == 0 {
-		t.Fatal("merge mode explored a diamond workload without a single memo hit")
-	}
-	want := fingerprint((&Engine{Workers: 1, WantModels: true}).Run(h))
-	if got := fingerprint(res); got != want {
-		t.Fatalf("merge run diverged:\n--- want\n%s--- got\n%s", want, got)
 	}
 }

@@ -117,7 +117,7 @@ type workerState struct {
 	infeasible int
 	depthTrunc int
 	counters   pathCounters
-	sess       *bitblast.Session // persistent incremental session, when enabled
+	sess       *bitblast.Session // persistent session; nil under FreshSolverPerPath
 	inputs     map[string]*sym.Expr
 	cov        *coverage.Set // worker-cumulative; feeds coverage-guided Pop
 }
@@ -133,7 +133,13 @@ type workerState struct {
 // cancel.Done() and calls frontier.halt(), which wakes blocked stealers and
 // makes every worker exit at its next loop check. Paths already completed
 // are kept, so a cancelled run returns the partial set explored so far.
-func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, share *bitblast.Space, merge *mergeMemo, res *Result) {
+//
+// A worker that panics with anything but a path abort halts the run the
+// same way; the first such panic value is re-raised here, on the caller's
+// goroutine, once every worker has joined — a recover around Run sees
+// exactly what a sequential run would raise, instead of the process dying
+// on an unrecoverable worker goroutine.
+func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, res *Result) {
 	f := newFrontier(workers)
 	f.global = append(f.global, e.rootItem())
 
@@ -147,6 +153,8 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, sha
 	}
 	var completed, dropped, leftover, progressDone atomic.Int64
 	var cancelled atomic.Bool
+	var failOnce sync.Once
+	var failure any
 	if done := cancel.Done(); done != nil {
 		stop := make(chan struct{})
 		defer close(stop)
@@ -163,10 +171,7 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, sha
 	states := make([]*workerState, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		ws := &workerState{inputs: make(map[string]*sym.Expr)}
-		if e.incremental() {
-			ws.sess = bitblast.NewSession(share)
-		}
+		ws := &workerState{inputs: make(map[string]*sym.Expr), sess: e.newSession()}
 		if e.CovMap != nil {
 			ws.cov = e.CovMap.NewSet()
 		}
@@ -176,6 +181,12 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, sha
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					failOnce.Do(func() { failure = r })
+					f.halt()
+				}
+			}()
 			defer func() { leftover.Add(int64(local.Len())) }()
 			enqueue := func(it *workItem) {
 				// Forks stay local unless someone is starving; donation is
@@ -211,7 +222,7 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, sha
 				if cut != nil && cut.prune(it.decisions) {
 					continue
 				}
-				ctx := e.newContext(it, enqueue, &ws.counters, ws.sess, share, merge)
+				ctx := e.newContext(it, enqueue, &ws.counters, ws.sess)
 				outcome := runOne(ctx, h)
 				for name, v := range ctx.inputs {
 					ws.inputs[name] = v
@@ -255,6 +266,9 @@ func (e *Engine) runParallel(cancel context.Context, h Handler, workers int, sha
 		}()
 	}
 	wg.Wait()
+	if failure != nil {
+		panic(failure)
+	}
 
 	for _, ws := range states {
 		res.Paths = append(res.Paths, ws.paths...)

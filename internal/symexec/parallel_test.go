@@ -339,3 +339,36 @@ func TestLessDecisions(t *testing.T) {
 		}
 	}
 }
+
+// handlerBug is a panic value the engine must hand back unchanged.
+type handlerBug struct{ path int }
+
+// TestParallelHandlerPanicReraised: a non-abort panic deep in the tree, on
+// a worker goroutine, stops the run and reaches the caller's recover with
+// the handler's own value — as a sequential run raises it — instead of
+// killing the process. Several paths panic, so several workers may race to
+// report; exactly one value comes back.
+func TestParallelHandlerPanicReraised(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			(&Engine{Workers: workers}).Run(func(ctx *Context) {
+				x := ctx.NewSym("x", 8)
+				n := 0
+				for i := 0; i < 6; i++ {
+					if ctx.Branch(sym.EqConst(sym.Extract(x, i, i), 1)) {
+						n++
+					}
+				}
+				if n == 5 {
+					panic(handlerBug{path: n})
+				}
+				ctx.Emit(n)
+			})
+			return nil
+		}()
+		if got != (handlerBug{path: 5}) {
+			t.Fatalf("workers=%d: recovered %#v, want the handler's panic value", workers, got)
+		}
+	}
+}

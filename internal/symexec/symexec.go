@@ -9,7 +9,6 @@ import (
 
 	"github.com/soft-testing/soft/internal/bitblast"
 	"github.com/soft-testing/soft/internal/coverage"
-	"github.com/soft-testing/soft/internal/solver"
 	"github.com/soft-testing/soft/internal/sym"
 )
 
@@ -32,11 +31,12 @@ type abortPanic struct {
 	msg  string
 }
 
-// pathSolver is the constraint back end a Context drives: a fresh
-// bitblast.Blaster per path attempt (the classic mode), or a per-worker
-// bitblast.Session that keeps CNF, learned clauses, and heuristics across
-// the worker's paths (Engine.Incremental). Both return identical answers
-// and identical canonical models, so the choice never changes a Result.
+// pathSolver is the constraint back end a Context drives: the worker's
+// bitblast.Session, which keeps CNF, learned clauses, and heuristics across
+// the worker's paths, or a fresh bitblast.Blaster per path attempt (the
+// reference engine, Engine.FreshSolverPerPath). Both return identical
+// answers and identical canonical models, so the choice never changes a
+// Result.
 type pathSolver interface {
 	Assert(e *sym.Expr)
 	SolveAssuming(es ...*sym.Expr) bool
@@ -48,25 +48,19 @@ type pathSolver interface {
 // the executing worker; no atomics needed.
 type pathCounters struct {
 	branchQueries int64
-	fullSolves    int64 // from-scratch solves on per-path blasters
-	mergeHits     int64 // frontier queries answered by the merge memo
 }
 
 // Context is the per-path execution context handed to the Handler. It is
 // valid only for the duration of one handler invocation. A Context holds no
 // reference to locked engine state: forks go through the enqueue callback
 // and feasibility queries run against the worker-private solver, so
-// parallel workers execute paths without locking on the hot path (the
-// merge memo, consulted only at frontier queries, is the one exception).
+// parallel workers execute paths without locking on the hot path.
 type Context struct {
 	maxDepth  int
 	enqueue   func(*workItem)
 	counters  *pathCounters
 	blaster   pathSolver
-	sess      *bitblast.Session // non-nil iff blaster is the worker's session
-	merge     *mergeMemo        // non-nil iff state merging is on
-	lastDec   int               // pc index of the newest branch-decision conjunct, -1 if none
-	decisions []bool            // prescribed prefix (replay), then grown by new decisions
+	decisions []bool // prescribed prefix (replay), then grown by new decisions
 	sites     []coverage.BranchID
 	depth     int // next decision index
 	pc        []*sym.Expr
@@ -128,9 +122,6 @@ func (c *Context) Assume(cond *sym.Expr) {
 	if cond.IsFalse() {
 		panic(abortPanic{kind: abortInfeasible, msg: "assumption is false"})
 	}
-	if c.sess == nil {
-		c.counters.fullSolves++
-	}
 	if !c.blaster.SolveAssuming(cond) {
 		panic(abortPanic{kind: abortInfeasible, msg: "assumption contradicts path condition"})
 	}
@@ -170,13 +161,13 @@ func (c *Context) BranchSite(site coverage.BranchID, cond *sym.Expr) bool {
 
 	// Frontier: decide which arms are feasible.
 	c.counters.branchQueries++
-	satTrue := c.branchFeasible(cond)
+	satTrue := c.blaster.SolveAssuming(cond)
 	var satFalse bool
 	if !satTrue {
 		// The path condition is feasible, so at least one arm is.
 		satFalse = true
 	} else {
-		satFalse = c.branchFeasible(sym.LNot(cond))
+		satFalse = c.blaster.SolveAssuming(sym.LNot(cond))
 	}
 
 	switch {
@@ -200,38 +191,6 @@ func (c *Context) BranchSite(site coverage.BranchID, cond *sym.Expr) bool {
 	}
 }
 
-// branchFeasible decides one frontier arm's feasibility. With state merging
-// the exact query is first relaxed by dropping the newest branch-decision
-// conjunct — the pivot of a diamond: sibling paths that differ only in that
-// decision and meet again at the same frontier node issue the *same*
-// relaxed query, which is exactly the ite/or-merged constraint of the
-// diamond. An unsatisfiable relaxed query proves both siblings' exact
-// queries unsatisfiable (it is strictly weaker), so the verdict is memoized
-// engine-wide and the sibling's arm dies without touching the solver. A
-// satisfiable relaxed query proves nothing and falls through to the exact
-// solve, so answers — and therefore Results — are identical with merging
-// on or off.
-func (c *Context) branchFeasible(q *sym.Expr) bool {
-	if c.merge != nil && c.sess != nil && c.lastDec >= 0 {
-		keep := make([]*sym.Expr, 0, len(c.pc)-1)
-		keep = append(keep, c.pc[:c.lastDec]...)
-		keep = append(keep, c.pc[c.lastDec+1:]...)
-		hash, key := mergeKey(keep, q)
-		if c.merge.knownUnsat(hash, key) {
-			c.counters.mergeHits++
-			return false
-		}
-		if !c.sess.SolveSubset(keep, q) {
-			c.merge.recordUnsat(hash, key)
-			return false
-		}
-	}
-	if c.sess == nil {
-		c.counters.fullSolves++
-	}
-	return c.blaster.SolveAssuming(q)
-}
-
 // take commits a branch direction: extends the path condition, the
 // incremental encoding, and coverage.
 func (c *Context) take(site coverage.BranchID, cond *sym.Expr, taken bool) {
@@ -240,7 +199,6 @@ func (c *Context) take(site coverage.BranchID, cond *sym.Expr, taken bool) {
 		eff = sym.LNot(cond)
 	}
 	c.pc = append(c.pc, eff)
-	c.lastDec = len(c.pc) - 1
 	c.blaster.Assert(eff)
 	c.coverBranch(site, taken)
 }
@@ -309,22 +267,13 @@ type Result struct {
 	Cancelled bool
 	// BranchQueries counts frontier feasibility decisions.
 	BranchQueries int64
-	// ClauseExports/ClauseImports count learned clauses published to and
-	// adopted from the inter-path exchange (zero unless ClauseSharing).
-	ClauseExports int64
-	ClauseImports int64
-	// AssumptionSolves counts satisfiability decisions served by incremental
-	// sessions (assumption-stack solves); FullSolves counts decisions that
-	// paid a from-scratch per-path solver. Exactly one of the two grows per
-	// engine-level query, depending on Engine.Incremental.
-	AssumptionSolves int64
-	FullSolves       int64
-	// ConstraintsReused counts path conjuncts served from a session's
-	// already-encoded activation cache instead of being re-bitblasted.
+	// AssumptionSolves counts satisfiability decisions served by the
+	// workers' sessions (assumption-stack solves); ConstraintsReused counts
+	// path conjuncts served from a session's already-encoded activation
+	// cache instead of being re-bitblasted. Both stay zero under
+	// FreshSolverPerPath.
+	AssumptionSolves  int64
 	ConstraintsReused int64
-	// MergeHits counts frontier feasibility queries answered by the
-	// state-merging memo without any solving (zero unless Engine.Merge).
-	MergeHits int64
 }
 
 // AvgConstraintSize returns the mean constraint size across paths.
@@ -358,12 +307,13 @@ type workItem struct {
 }
 
 // Engine explores all paths of a Handler.
+//
+// Each worker solves on one persistent bitblast.Session: a path's
+// conjuncts are encoded once, guarded by activation literals, and a child
+// path's solve pushes only its new branch constraint as an assumption, so
+// CNF, learned clauses, and VSIDS activity carry over across the worker's
+// whole subtree. See doc.go.
 type Engine struct {
-	// Solver is the constraint-solving façade reserved for engine-level
-	// queries. Path feasibility and model extraction run on path-private
-	// bitblast instances instead, so the engine never contends on it; a nil
-	// Solver gets a fresh one. See solver.Solver's concurrency notes.
-	Solver *solver.Solver
 	// Strategy orders path exploration; nil means NewInterleaved(1), the
 	// Cloud9 default strategy per the paper's §4.1. Parallel exploration
 	// needs per-worker frontier instances, so a non-nil Strategy that does
@@ -418,32 +368,12 @@ type Engine struct {
 	// GOMAXPROCS; 1 forces sequential exploration. Exhaustive runs produce
 	// identical Results for every worker count (see doc.go).
 	Workers int
-	// ClauseSharing wires every path's SAT core into one bounded
-	// learned-clause exchange: input variables get canonical indices from a
-	// shared bitblast.Space, short learned clauses (≤ 2 literals over shared
-	// inputs) are published to a lock-free ring, and importers adopt a
-	// candidate only after proving it implied by their own clause database.
-	// Sharing therefore never changes an answer, and witness models are
-	// canonical (see bitblast.CanonicalModel), so exhaustive Results stay
-	// byte-identical with sharing on or off — it only shortcuts repeated
-	// conflict work across structurally similar paths. See doc.go.
-	ClauseSharing bool
-	// Incremental gives each worker one persistent bitblast.Session instead
-	// of a fresh blaster per path attempt: a path's conjuncts are encoded
-	// once, guarded by activation literals, and a child path's solve pushes
-	// only its new branch constraint as an assumption — CNF, learned
-	// clauses, and VSIDS activity carry over across the worker's whole
-	// subtree. Answers and canonical witness models are identical either
-	// way (see bitblast.Session), so exhaustive Results are byte-identical
-	// with the mode on or off; it only changes how fast the tree burns
-	// down. See doc.go.
-	Incremental bool
-	// Merge enables veritesting-style diamond state merging: frontier
-	// feasibility queries are first relaxed by dropping the newest branch
-	// decision, and relaxed-unsatisfiable verdicts are memoized engine-wide
-	// so the sibling path's mirrored query is answered without solving.
-	// Answer-preserving (see Context.branchFeasible); implies Incremental.
-	Merge bool
+	// FreshSolverPerPath selects the reference engine: a fresh
+	// bitblast.Blaster per path attempt instead of the worker's session.
+	// It exists only as the oracle the determinism tests compare sessions
+	// against (answers and canonical models are identical, it is just
+	// slower); no production caller sets it.
+	FreshSolverPerPath bool
 	// Progress, when set, is invoked after each completed path with the
 	// cumulative number of paths kept so far. With Workers > 1 it is called
 	// from worker goroutines and must be safe for concurrent use; counts are
@@ -468,10 +398,11 @@ func (e *Engine) Run(h Handler) *Result {
 // completed before the cancellation are kept and canonicalized as usual;
 // only exhaustive (non-cancelled, non-truncated) runs are byte-identical
 // across worker counts.
+//
+// A handler panic other than the engine's own path aborts (a bug in the
+// handler or the engine) stops the run and is re-raised with its original
+// value on the calling goroutine, whatever the worker count.
 func (e *Engine) RunContext(ctx context.Context, h Handler) *Result {
-	if e.Solver == nil {
-		e.Solver = solver.New()
-	}
 	workers := e.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -493,28 +424,11 @@ func (e *Engine) RunContext(ctx context.Context, h Handler) *Result {
 	if e.CovMap != nil {
 		res.Cov = e.CovMap.NewSet()
 	}
-	var share *bitblast.Space
-	if e.ClauseSharing {
-		// One space per run: canonical input numbering plus the clause ring.
-		// Sequential runs share too — clauses learned on one path shortcut
-		// conflicts on later paths of the same handler.
-		share = bitblast.NewSpace(0)
-	}
-	var merge *mergeMemo
-	if e.Merge {
-		merge = newMergeMemo()
-	}
-
 	start := time.Now()
 	if workers == 1 {
-		e.runSequential(ctx, h, share, merge, res)
+		e.runSequential(ctx, h, res)
 	} else {
-		e.runParallel(ctx, h, workers, share, merge, res)
-	}
-	if share != nil {
-		st := share.Stats()
-		res.ClauseExports = st.Exported
-		res.ClauseImports = st.Imported
+		e.runParallel(ctx, h, workers, res)
 	}
 	canonicalizePaths(res.Paths)
 	if res.Cancelled {
@@ -524,30 +438,31 @@ func (e *Engine) RunContext(ctx context.Context, h Handler) *Result {
 	return res
 }
 
-// incremental reports whether workers run persistent sessions (Merge needs
-// droppable per-conjunct assumptions, so it implies Incremental).
-func (e *Engine) incremental() bool { return e.Incremental || e.Merge }
+// newSession returns a worker's persistent session, or nil under
+// FreshSolverPerPath.
+func (e *Engine) newSession() *bitblast.Session {
+	if e.FreshSolverPerPath {
+		return nil
+	}
+	return bitblast.NewSession()
+}
 
 // newContext builds the execution context for one path attempt. A non-nil
-// sess is the worker's persistent incremental session, reset for the new
-// path; otherwise the path gets a fresh blaster. With clause sharing either
-// back end joins the run's shared space (a nil share degrades to private
-// numbering).
-func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pathCounters, sess *bitblast.Session, share *bitblast.Space, merge *mergeMemo) *Context {
+// sess is the worker's persistent session, reset for the new path;
+// otherwise the path gets a fresh blaster.
+func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pathCounters, sess *bitblast.Session) *Context {
 	ctx := &Context{
 		maxDepth:  e.MaxDepth,
 		enqueue:   enqueue,
 		counters:  counters,
-		merge:     merge,
-		lastDec:   -1,
 		decisions: it.decisions,
 		inputs:    make(map[string]*sym.Expr),
 	}
 	if sess != nil {
 		sess.Reset()
-		ctx.blaster, ctx.sess = sess, sess
+		ctx.blaster = sess
 	} else {
-		ctx.blaster = bitblast.NewShared(share)
+		ctx.blaster = bitblast.New()
 	}
 	if e.CovMap != nil {
 		ctx.cov = e.CovMap.NewSet()
@@ -555,12 +470,10 @@ func (e *Engine) newContext(it *workItem, enqueue func(*workItem), counters *pat
 	return ctx
 }
 
-// addSolveCounters folds one worker's counters (and its session's, when
-// incremental) into the result.
+// addSolveCounters folds one worker's counters (and its session's) into
+// the result.
 func addSolveCounters(res *Result, c *pathCounters, sess *bitblast.Session) {
 	res.BranchQueries += c.branchQueries
-	res.FullSolves += c.fullSolves
-	res.MergeHits += c.mergeHits
 	if sess != nil {
 		res.AssumptionSolves += sess.AssumptionSolves
 		res.ConstraintsReused += sess.ConstraintsReused
@@ -580,14 +493,11 @@ func (e *Engine) completePath(ctx *Context) *Path {
 		Decisions: ctx.decisions,
 	}
 	if e.WantModels {
-		if ctx.sess == nil {
-			ctx.counters.fullSolves++
-		}
 		if ctx.blaster.Solve() {
 			// Canonical extraction keeps the model a pure function of the
 			// path condition: the same path yields the same witness bytes
-			// whatever the worker count, encoding layout, or clause imports
-			// did to the CDCL search trajectory.
+			// whatever the worker count or encoding layout did to the CDCL
+			// search trajectory.
 			p.Model = ctx.blaster.CanonicalModel()
 		}
 	}
@@ -597,16 +507,13 @@ func (e *Engine) completePath(ctx *Context) *Path {
 // runSequential is the single-threaded exploration loop. cancel is the
 // run's context.Context (named to keep ctx free for the per-path execution
 // Context).
-func (e *Engine) runSequential(cancel context.Context, h Handler, share *bitblast.Space, merge *mergeMemo, res *Result) {
+func (e *Engine) runSequential(cancel context.Context, h Handler, res *Result) {
 	e.queue = e.Strategy
 	if e.queue == nil {
 		e.queue = NewInterleaved(1)
 	}
 	e.counters = pathCounters{}
-	var sess *bitblast.Session
-	if e.incremental() {
-		sess = bitblast.NewSession(share)
-	}
+	sess := e.newSession()
 	cut := e.newCanonCut()
 
 	enqueue := func(it *workItem) {
@@ -634,7 +541,7 @@ func (e *Engine) runSequential(cancel context.Context, h Handler, share *bitblas
 		if cut != nil && cut.prune(it.decisions) {
 			continue
 		}
-		ctx := e.newContext(it, enqueue, &e.counters, sess, share, merge)
+		ctx := e.newContext(it, enqueue, &e.counters, sess)
 		outcome := runOne(ctx, h)
 		for name, v := range ctx.inputs {
 			res.Inputs[name] = v
